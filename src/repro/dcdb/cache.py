@@ -159,7 +159,8 @@ class SensorCache:
     """
 
     __slots__ = (
-        "_ts", "_val", "_cap", "_head", "_size", "interval_ns", "stale_drops"
+        "_ts", "_val", "_cap", "_head", "_size", "interval_ns", "stale_drops",
+        "newest_ts",
     )
 
     def __init__(self, capacity: int, interval_ns: int = 0):
@@ -174,6 +175,8 @@ class SensorCache:
         #: Readings rejected for violating timestamp monotonicity; hosts
         #: surface the aggregate as a telemetry drop gauge.
         self.stale_drops = 0
+        #: Newest stored timestamp, kept outside the ring (None if empty).
+        self.newest_ts: Optional[int] = None
 
     @staticmethod
     def capacity_for_duration(
@@ -208,9 +211,11 @@ class SensorCache:
     def store(self, timestamp: int, value: float) -> None:
         """Append one reading.  Timestamps must be non-decreasing; stale
         (out-of-order) readings are dropped, matching DCDB semantics."""
-        if self._size and timestamp < int(self._ts[(self._head - 1) % self._cap]):
+        newest = self.newest_ts
+        if newest is not None and timestamp < newest:
             self.stale_drops += 1
             return
+        self.newest_ts = timestamp
         self._ts[self._head] = timestamp
         self._val[self._head] = value
         self._head = (self._head + 1) % self._cap
@@ -222,27 +227,28 @@ class SensorCache:
         self.store(reading.timestamp, reading.value)
 
     def store_batch(self, timestamps: np.ndarray, values: np.ndarray) -> None:
-        """Append many readings at once (already time-ordered).
+        """Append many readings at once.
 
-        The same non-decreasing-timestamp invariant as :meth:`store`
-        applies: any prefix of the batch older than the newest retained
-        reading is dropped, so a stale batch can never corrupt the
-        sorted timestamp order that :meth:`view_absolute`'s binary
-        search relies on.
+        Exactly equivalent to a :meth:`store` loop: a reading older than
+        the newest one kept before it (already retained or earlier in
+        the batch) is dropped and counted in ``stale_drops``, so no
+        batch can break the sorted timestamp order that
+        :meth:`view_absolute`'s binary search relies on.
         """
         n = len(timestamps)
         if n == 0:
             return
-        if self._size:
-            newest = int(self._ts[(self._head - 1) % self._cap])
-            stale = int(np.searchsorted(timestamps, newest, side="left"))
-            if stale:
-                self.stale_drops += stale
-                timestamps = timestamps[stale:]
-                values = values[stale:]
-                n -= stale
-                if n == 0:
-                    return
+        keep = timestamps >= np.maximum.accumulate(timestamps)
+        if self.newest_ts is not None:
+            keep &= timestamps >= self.newest_ts
+        if not keep.all():
+            self.stale_drops += n - int(np.count_nonzero(keep))
+            timestamps = timestamps[keep]
+            values = values[keep]
+            n = len(timestamps)
+            if n == 0:
+                return
+        self.newest_ts = int(timestamps[-1])
         if n >= self._cap:
             # Only the newest `cap` readings survive; write them aligned
             # to the start of the buffer.
@@ -265,6 +271,7 @@ class SensorCache:
         """Drop all readings."""
         self._head = 0
         self._size = 0
+        self.newest_ts = None
 
     def resize(self, capacity: int) -> None:
         """Re-allocate the ring at a new capacity, preserving contents.
@@ -380,8 +387,7 @@ class SensorCache:
         if self.interval_ns > 0:
             count = offset_ns // self.interval_ns + 1
             return self._tail_view(int(count))
-        newest = int(self._ts[(self._head - 1) % self._cap])
-        return self.view_absolute(newest - offset_ns, newest)
+        return self.view_absolute(self.newest_ts - offset_ns, self.newest_ts)
 
     def view_absolute(self, start_ts: int, end_ts: int) -> CacheView:
         """Readings with timestamps in ``[start_ts, end_ts]``.

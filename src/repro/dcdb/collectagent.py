@@ -24,6 +24,10 @@ from repro.simulator.clock import TaskScheduler
 from repro.telemetry import MetricRegistry, register_metrics_route
 
 
+#: Gap of a topic with no observed cadence yet (compares above any gap).
+_NO_GAP = float("inf")
+
+
 class CollectAgent:
     """System-level data broker and analytics host.
 
@@ -218,14 +222,12 @@ class CollectAgent:
         recomputed (with the same 20% slack ``for_duration`` applies)
         and the cache grown in place, preserving its contents.
         """
-        prev = cache.latest()
-        if prev is None:
+        if cache.newest_ts is None:
             return
-        gap = ts - prev.timestamp
+        gap = ts - cache.newest_ts
         if gap <= 0:
             return  # duplicate or stale arrival; no cadence information
-        known = self._gap_ns.get(topic)
-        if known is not None and gap >= known:
+        if gap >= self._gap_ns.get(topic, _NO_GAP):
             return
         self._gap_ns[topic] = gap
         needed = (
@@ -238,14 +240,21 @@ class CollectAgent:
     def _drain(self, ts: int) -> None:
         """Flush queued MQTT messages into caches and storage."""
         t0 = time.perf_counter_ns()
-        n = 0
-        for msg in self._queue.drain():
-            cache = self._cache_for_ingest(msg.topic, msg.timestamp)
-            cache.store(msg.timestamp, msg.value)
-            self._storage.insert(msg.topic, msg.timestamp, msg.value)
-            n += 1
-        if n:
-            self._m_forwarded.inc(n)
+        caches, gaps = self.caches, self._gap_ns
+        insert = self._storage.insert
+        messages = self._queue.drain()
+        for topic, value, msg_ts in messages:
+            cache = caches.get(topic)
+            if cache is None:
+                cache = self._cache_for_ingest(topic)
+            newest = cache.newest_ts
+            # Only a shorter inter-arrival gap can grow the cache.
+            if newest is not None and msg_ts - newest < gaps.get(topic, _NO_GAP):
+                self._observe_arrival(topic, cache, msg_ts)
+            cache.store(msg_ts, value)
+            insert(topic, msg_ts, value)
+        if messages:
+            self._m_forwarded.inc(len(messages))
         dropped = self._queue.dropped
         if dropped != self._dropped_synced:
             self._m_ingest_dropped.inc(dropped - self._dropped_synced)

@@ -184,8 +184,7 @@ class Pusher:
     def _sample_plugin(self, plugin: MonitoringPlugin, ts: int) -> None:
         t0 = time.perf_counter_ns()
         try:
-            for sensor, value in plugin.sample(ts):
-                self.store_reading(sensor, ts, value)
+            self.store_readings_batch(ts, plugin.sample(ts))
         except Exception as exc:
             # A faulty plugin must not take down the sampling loop (or
             # the other plugins sharing it): count and continue.
@@ -215,32 +214,32 @@ class Pusher:
         return cache
 
     def store_reading(self, sensor: Sensor, ts: int, value: float) -> None:
-        """Cache a reading and publish it if the sensor is published.
-
-        Operator outputs flow through the same call, which is what makes
-        them "identical to all other sensor data" (Section IV-d) and
-        thus usable as pipeline inputs downstream.
-        """
-        self._cache_for_sensor(sensor).store(ts, value)
-        if sensor.publish:
-            self._publish(Message(sensor.topic, value, ts))
+        """Cache a reading and publish it if the sensor is published."""
+        self.store_readings_batch(ts, ((sensor, value),))
 
     def store_readings_batch(self, ts, readings) -> None:
-        """Store a whole pass's operator outputs in one call.
+        """Cache and publish one pass's readings.
 
-        ``readings`` is a sequence of ``(sensor, value)`` pairs sharing
-        one timestamp.  Caching behaviour matches per-reading
-        :meth:`store_reading` exactly (lazy cache creation included);
-        publishable readings are collected and handed to the broker as
-        one batch so MQTT fan-out bookkeeping is paid once per pass.
+        ``readings`` is an iterable of ``(sensor, value)`` pairs sharing
+        one timestamp: a monitoring plugin's sampling pass or an
+        operator's outputs, which thus are "identical to all other
+        sensor data" (Section IV-d) and usable as pipeline inputs
+        downstream.  Published readings go to the broker as one batch,
+        including those yielded before ``readings`` raised.
         """
+        caches = self.caches
         to_publish = []
-        for sensor, value in readings:
-            self._cache_for_sensor(sensor).store(ts, value)
-            if sensor.publish:
-                to_publish.append(Message(sensor.topic, value, ts))
-        if to_publish:
-            self._publish_batch(to_publish)
+        try:
+            for sensor, value in readings:
+                cache = caches.get(sensor.topic)
+                if cache is None:
+                    cache = self._cache_for_sensor(sensor)
+                cache.store(ts, value)
+                if sensor.publish:
+                    to_publish.append(Message(sensor.topic, value, ts))
+        finally:
+            if to_publish:
+                self._publish_batch(to_publish)
 
     # ------------------------------------------------------------------
     # Store-and-forward publish path
@@ -259,47 +258,30 @@ class Pusher:
         with self._spill_lock:
             return self._replaying or len(self._spill) > 0
 
-    def _publish(self, msg: Message) -> None:
-        if self._queue_behind_spill():
-            self._spill_message(msg)
-            self._schedule_retry()
-            return
-        try:
-            self.broker.publish(msg.topic, msg.value, msg.timestamp)
-        except LinkDownError:
-            self._m_link_refusals.inc()
-            self._spill_message(msg)
-            self._schedule_retry()
-
     def _publish_batch(self, messages: List[Message]) -> None:
-        publish_batch = getattr(self.broker, "publish_batch", None)
-        if publish_batch is None:
-            for msg in messages:
-                self._publish(msg)
-            return
         if self._queue_behind_spill():
-            for msg in messages:
-                self._spill_message(msg)
-            self._schedule_retry()
-            return
-        try:
-            publish_batch(messages)
-        except LinkDownError as exc:
-            refused = exc.refused or list(messages)
-            self._m_link_refusals.inc(len(refused))
-            for msg in refused:
-                self._spill_message(msg)
-            self._schedule_retry()
+            refused = messages
+        else:
+            try:
+                self.broker.publish_batch(messages)
+                return
+            except LinkDownError as exc:
+                refused = exc.refused or list(messages)
+                self._m_link_refusals.inc(len(refused))
+        self._spill_messages(refused)
+        self._schedule_retry()
 
-    def _spill_message(self, msg: Message) -> None:
+    def _spill_messages(self, messages: List[Message]) -> None:
+        buffered = dropped = 0
         with self._spill_lock:
-            evicted = self._spill.append(msg)
-        if evicted is msg:  # refused outright (drop-newest at capacity)
-            self._m_spill_dropped.inc()
-            return
-        self._m_spill_buffered.inc()
-        if evicted is not None:
-            self._m_spill_dropped.inc()
+            for msg in messages:
+                evicted = self._spill.append(msg)
+                if evicted is not msg:  # else refused (drop-newest, full)
+                    buffered += 1
+                if evicted is not None:
+                    dropped += 1
+        self._m_spill_buffered.inc(buffered)
+        self._m_spill_dropped.inc(dropped)
 
     def _schedule_retry(self) -> None:
         with self._spill_lock:

@@ -21,7 +21,7 @@ from repro.dcdb.sensor import SensorReading
 class _Series:
     """Growable column pair for one sensor."""
 
-    __slots__ = ("ts", "val", "size")
+    __slots__ = ("ts", "val", "size", "last")
 
     _INITIAL = 256
 
@@ -29,6 +29,8 @@ class _Series:
         self.ts = np.empty(self._INITIAL, dtype=np.int64)
         self.val = np.empty(self._INITIAL, dtype=np.float64)
         self.size = 0
+        #: Newest stored timestamp as a Python int (meaningful if size).
+        self.last = 0
 
     def _grow(self, needed: int) -> None:
         cap = len(self.ts)
@@ -46,10 +48,11 @@ class _Series:
         Maintain time order: DCDB rejects out-of-order inserts at the
         same key; we drop them silently like the sensor cache does.
         """
-        if self.size and timestamp < int(self.ts[self.size - 1]):
+        if self.size and timestamp < self.last:
             return False
         if self.size == len(self.ts):
             self._grow(self.size + 1)
+        self.last = timestamp
         self.ts[self.size] = timestamp
         self.val[self.size] = value
         self.size += 1
@@ -71,7 +74,7 @@ class _Series:
             return 0
         keep = timestamps >= np.maximum.accumulate(timestamps)
         if self.size:
-            keep &= timestamps >= int(self.ts[self.size - 1])
+            keep &= timestamps >= self.last
         if not keep.all():
             timestamps = timestamps[keep]
             values = values[keep]
@@ -83,6 +86,7 @@ class _Series:
         self.ts[self.size : self.size + n] = timestamps
         self.val[self.size : self.size + n] = values
         self.size += n
+        self.last = int(timestamps[-1])
         return n
 
     def range(self, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:

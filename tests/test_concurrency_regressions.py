@@ -139,7 +139,7 @@ class TestReplaySpillSingleOwner:
         pusher = Pusher("/n0", broker, TaskScheduler())
         broker.pusher = pusher
         for i in range(3):
-            pusher._spill_message(Message(f"/m{i}", float(i), i + 1))
+            pusher._spill_messages([Message(f"/m{i}", float(i), i + 1)])
         assert pusher.spill_depth == 3
 
         pusher.flush_spill()
@@ -161,7 +161,7 @@ class TestReplaySpillSingleOwner:
 
         scheduler = TaskScheduler()
         pusher = Pusher("/n0", DownBroker(), scheduler)
-        pusher._spill_message(Message("/m0", 0.0, 1))
+        pusher._spill_messages([Message("/m0", 0.0, 1)])
         pusher.flush_spill()
         assert pusher.spill_depth == 1  # message went back on the queue
         assert pusher._retry_pending is True

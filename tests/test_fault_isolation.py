@@ -2,11 +2,16 @@
 data plane or the analysis loop."""
 
 
+from collections import defaultdict
+
+import numpy as np
+
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb import Broker, CollectAgent, Pusher
 from repro.dcdb.plugins import TesterMonitoringPlugin
 from repro.dcdb.plugins.base import MonitoringPlugin, PluginSample
 from repro.dcdb.sensor import Sensor
+from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
 
 
@@ -54,12 +59,17 @@ class TestPusherFaultIsolation:
 
     def test_partial_samples_before_failure_are_kept(self):
         scheduler = TaskScheduler()
-        pusher = Pusher("/n0", Broker(), scheduler)
+        broker = Broker()
+        seen = []
+        broker.subscribe("/#", lambda t, v, ts: seen.append((t, ts)))
+        pusher = Pusher("/n0", broker, scheduler)
         pusher.add_plugin(MidwayFailer("/n0"))
         scheduler.run_until(3 * NS_PER_SEC)
         assert len(pusher.cache_for("/n0/ok-sensor")) == 4
         assert len(pusher.cache_for("/n0/never-sensor") or []) == 0
         assert pusher.sampling_errors == 4
+        # ...and published too, exactly once each.
+        assert seen == [("/n0/ok-sensor", k * NS_PER_SEC) for k in range(4)]
 
 
 class TestBrokerFaultIsolation:
@@ -102,3 +112,56 @@ class TestBrokerFaultIsolation:
         agent.flush()
         assert agent.storage.count("/n0/tester0000") >= 5
         assert broker.handler_errors >= 5
+
+
+class TestExactlyOnceThroughOutage:
+    SPEC = {
+        "cluster": {"nodes": 3, "cpus": 2, "seed": 4},
+        "monitoring": {
+            "plugins": ["sysfs", "procfs", "perfevent"],
+            "interval_ms": 1000,
+        },
+        "network": {
+            "latency_ms": 5,
+            "jitter_ms": 0,
+            "seed": 2,
+            "outages": [{"start_s": 4, "end_s": 9}],
+        },
+    }
+
+    def test_every_sample_stored_once_in_order(self):
+        dep = build_deployment(self.SPEC)
+        sampled = defaultdict(list)
+        for pusher in dep.pushers.values():
+            for name in pusher.plugins():
+                plugin = pusher.plugin(name)
+
+                def recording(ts, _sample=plugin.sample):
+                    for sensor, value in _sample(ts):
+                        sampled[sensor.topic].append((ts, value))
+                        yield sensor, value
+
+                plugin.sample = recording
+        dep.run(15)
+        for pusher in dep.pushers.values():
+            for name in pusher.plugins():
+                pusher.set_plugin_enabled(name, False)
+        dep.run(5)  # settle: spill replay and in-flight deliveries land
+        dep.agent.flush()
+
+        assert dep.link.refused > 0  # the outage did refuse publishes
+        assert len(sampled) == len(dep.agent.storage.topics())
+        for topic, readings in sampled.items():
+            ts, val = dep.agent.storage.query(topic, 0, 10**18)
+            assert ts.tolist() == [t for t, _ in readings], topic
+            assert val.tolist() == [v for _, v in readings], topic
+            assert np.all(np.diff(ts) > 0)
+        for pusher in dep.pushers.values():
+            buffered = pusher.telemetry.get("spill_buffered_total").value
+            replayed = pusher.telemetry.get("spill_replayed_total").value
+            dropped = pusher.telemetry.get("spill_dropped_total").value
+            assert buffered > 0
+            assert buffered == replayed and dropped == 0
+            assert pusher.spill_depth == 0
+        assert dep.link.in_flight == 0
+        assert dep.agent.ingest_dropped == 0

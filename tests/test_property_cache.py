@@ -1,7 +1,7 @@
 """Property-based tests: the sensor cache against a list reference model."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.dcdb.cache import SensorCache
@@ -108,18 +108,34 @@ class TestCacheModel:
 
 
 class TestBatchEquivalence:
+    # The reported defect: [1, 5, 3, 7] left 3 after 5 in the ring.
+    @example(prefill=[], batch=[1, 5, 3, 7], ordered=False, capacity=8)
     @given(
-        n=st.integers(0, 200),
+        prefill=st.lists(st.integers(0, 60), max_size=20),
+        batch=st.lists(st.integers(0, 60), max_size=80),
+        ordered=st.booleans(),
         capacity=st.integers(1, 64),
     )
-    def test_store_batch_equals_store_loop(self, n, capacity):
-        ts = np.arange(n, dtype=np.int64) * 7
-        values = np.arange(n, dtype=np.float64)
+    def test_store_batch_equals_store_loop(
+        self, prefill, batch, ordered, capacity
+    ):
+        # Sorted, unsorted and duplicate timestamps, into empty and
+        # pre-filled caches: one store_batch must equal a store loop.
+        if ordered:
+            batch = sorted(batch)
+        ts = np.asarray(batch, dtype=np.int64)
+        values = np.arange(len(batch), dtype=np.float64)
         a = SensorCache(capacity)
-        a.store_batch(ts, values)
         b = SensorCache(capacity)
+        for t in sorted(prefill):
+            a.store(t, -1.0)
+            b.store(t, -1.0)
+        a.store_batch(ts, values)
         for t, v in zip(ts, values):
             b.store(int(t), float(v))
-        va = list(a.view_absolute(0, 10**18))
-        vb = list(b.view_absolute(0, 10**18))
-        assert va == vb
+        assert list(a.view_absolute(0, 10**18)) == list(
+            b.view_absolute(0, 10**18)
+        )
+        assert a.stale_drops == b.stale_drops
+        assert a.latest() == b.latest()
+        assert a.newest_ts == b.newest_ts

@@ -299,6 +299,27 @@ class TestStoreAndForward:
         scheduler.run_until(4 * NS_PER_SEC)
         assert received == ["/n0/a", "/n0/b"]
 
+    def test_sampling_pass_spills_refused_subset(self):
+        # A monitoring pass is one batch: under a partition only the
+        # refused reading spills, the rest of the pass is delivered.
+        scheduler = TaskScheduler()
+        broker = Broker()
+        received = []
+        broker.subscribe("/#", lambda t, v, ts: received.append((t, ts)))
+        link = NetworkConditions(broker, scheduler)
+        link.schedule_outage(0, NS_PER_SEC // 2, destinations=["/n0/tester0000"])
+        pusher = Pusher("/n0", link, scheduler, retry_base_ns=100 * NS_PER_MS)
+        pusher.add_plugin(TesterMonitoringPlugin("/n0", n_sensors=2))
+        scheduler.run_until(0)
+        assert received == [("/n0/tester0001", 0)]
+        assert pusher.spill_depth == 1
+        scheduler.run_until(2 * NS_PER_SEC)
+        assert pusher.spill_depth == 0
+        for topic in ("/n0/tester0000", "/n0/tester0001"):
+            assert [ts for t, ts in received if t == topic] == [
+                0, NS_PER_SEC, 2 * NS_PER_SEC
+            ]
+
     def test_flush_spill_replays_immediately(self):
         scheduler, pusher, sensor, received, _ = pusher_rig(outage=(0, 2))
         pusher.store_reading(sensor, 0, 1.0)
