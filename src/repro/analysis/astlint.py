@@ -63,7 +63,10 @@ _COMPUTE_METHODS = {"compute", "compute_unit"}
 _COMPUTE_PATH_METHODS = {
     "compute",
     "compute_unit",
+    "compute_batch",
+    "compute_batch_vector",
     "compute_operator_outputs",
+    "run_pass",
     "trigger",
     "_compute_results",
     "_compute_one",

@@ -19,17 +19,18 @@ chain — into one executable pass:
 - downstream members query through a :class:`FusedEngine` proxy that
   serves channel topics as zero-copy window views and delegates
   everything else to the real engine;
-- only the final member's results go through the ordinary
-  ``store_results_batch``/operator-output fan-out.
+- every member runs its ordinary
+  :meth:`~repro.core.operator.OperatorBase.run_pass`, handed its
+  channel; only the final member, which has none, stores its results.
 
 Semantics preservation is strict: per-pass results are bit-for-bit
 identical to the staged path (same float64 arithmetic on the same
 right-aligned tails), missing-data and short-window error accounting is
 unchanged (empty channel rows mirror empty caches), breaker-quarantined
 units simply leave their channel rows unshifted exactly as they leave
-caches unwritten, and an active runtime sanitizer makes the group fall
-back to per-operator :meth:`~repro.core.operator.OperatorBase.compute`
-— the staged, instrumented scalar path — for the pass.
+caches unwritten, and under an active runtime sanitizer each member's
+``run_pass`` takes the staged, instrumented scalar path for the pass,
+storing its results as well as handing them on.
 """
 
 from __future__ import annotations
@@ -66,13 +67,21 @@ class FusedChannel:
     columns, right-aligned like a :class:`BatchWindow`.  A pass appends
     one column worth of produced values (a vectorized shift-left) and
     leaves non-produced rows untouched, mirroring how a staged pass
-    leaves their caches unwritten.
+    leaves their caches unwritten.  ``vector_ok`` marks a producer
+    with one output per unit, whose column kernel output aligns 1:1
+    with the rows.
     """
 
-    __slots__ = ("topics", "row_of", "width", "values", "timestamps", "counts")
+    __slots__ = (
+        "topics", "row_of", "width", "values", "timestamps", "counts",
+        "vector_ok",
+    )
 
-    def __init__(self, topics: Sequence[str], width: int) -> None:
+    def __init__(
+        self, topics: Sequence[str], width: int, vector_ok: bool
+    ) -> None:
         rows = len(topics)
+        self.vector_ok = vector_ok
         self.topics: Tuple[str, ...] = tuple(topics)
         self.row_of: Dict[str, int] = {t: i for i, t in enumerate(self.topics)}
         self.width = max(1, int(width))
@@ -108,13 +117,8 @@ class FusedChannel:
         if not rows:
             return
         if len(rows) == len(self.counts):
-            # Every row produced — the steady-state vectorized path.
-            if self.width > 1:
-                self.values[:, :-1] = self.values[:, 1:]
-                self.timestamps[:, :-1] = self.timestamps[:, 1:]
-            self.values[:, -1] = vals
-            self.timestamps[:, -1] = ts
-            np.minimum(self.counts + 1, self.width, out=self.counts)
+            # Every row produced: rows are all of them, in row order.
+            self.append_column(ts, vals)
             return
         idx = np.asarray(rows, dtype=np.intp)
         if self.width > 1:
@@ -124,13 +128,10 @@ class FusedChannel:
         self.timestamps[idx, -1] = ts
         self.counts[idx] = np.minimum(self.counts[idx] + 1, self.width)
 
-    def append_column(self, ts: int, vals: np.ndarray) -> None:
-        """Vectorized append: one produced value per row, in row order.
-
-        The fused driver uses this for uniform passes where a plugin's
-        ``compute_batch_vector`` kernel emitted the whole column — the
-        all-rows branch of :meth:`append` without the per-unit list
-        assembly."""
+    def append_column(self, ts: int, vals) -> None:
+        """Vectorized append: one produced value per row, in row order —
+        a plain pass's ``compute_batch_vector`` column, or a list pass
+        that produced every row."""
         if self.width > 1:
             self.values[:, :-1] = self.values[:, 1:]
             self.timestamps[:, :-1] = self.timestamps[:, 1:]
@@ -348,18 +349,13 @@ class FusedPlan:
     :class:`~repro.core.queryengine.QueryPlan`.
     """
 
-    __slots__ = ("generation", "units_sig", "channels", "engines", "vector_ok")
+    __slots__ = ("generation", "units_sig", "channels", "engines")
 
-    def __init__(
-        self, generation, units_sig, channels, engines, vector_ok
-    ) -> None:
+    def __init__(self, generation, units_sig, channels, engines) -> None:
         self.generation = generation
         self.units_sig = units_sig
         self.channels: List[FusedChannel] = channels
         self.engines: List[Optional[FusedEngine]] = engines
-        #: Per intermediate member: one output per unit, so a vector
-        #: kernel's column aligns 1:1 with the channel rows.
-        self.vector_ok: List[bool] = vector_ok
 
 
 class FusedGroup:
@@ -418,7 +414,9 @@ class FusedGroup:
                     width,
                     min(_window_count(consumer.config.window_ns), capacity),
                 )
-            channel = FusedChannel(topics, width)
+            channel = FusedChannel(
+                topics, width, all(len(u.outputs) == 1 for u in op.units)
+            )
             prev = (
                 old.channels[i]
                 if old is not None and i < len(old.channels)
@@ -440,11 +438,7 @@ class FusedGroup:
                     fusion_safe=type(self.ops[i]).fusion_safe,
                 )
             )
-        vector_ok = [
-            all(len(u.outputs) == 1 for u in op.units)
-            for op in self.ops[:-1]
-        ]
-        plan = FusedPlan(generation, units_sig, channels, engines, vector_ok)
+        plan = FusedPlan(generation, units_sig, channels, engines)
         self._plan = plan
         return plan
 
@@ -453,66 +447,34 @@ class FusedGroup:
     # ------------------------------------------------------------------
 
     def run(self, ts: int) -> None:
-        """One scheduled pass: fused when allowed, staged otherwise."""
-        if hooks.CURRENT is not None:
-            self._run_staged(ts)
-            return
-        plan = self._ensure_plan()
-        last = len(self.ops) - 1
-        for i, op in enumerate(self.ops):
-            proxy = plan.engines[i]
-            vectored = i < last and plan.vector_ok[i]
-            vector = None
-            if proxy is None:
-                if vectored:
-                    vector, results = op.compute_fused_vector(ts)
-                else:
-                    results = op.compute_fused(ts)
-            else:
-                real = op.engine
-                op.engine = proxy
-                try:
-                    if vectored:
-                        vector, results = op.compute_fused_vector(ts)
-                    else:
-                        results = op.compute_fused(ts)
-                finally:
-                    op.engine = real
-            if i < last:
-                if vector is not None:
-                    plan.channels[i].append_column(ts, vector)
-                else:
-                    plan.channels[i].append_results(ts, results)
-            else:
-                op._store_results(ts, results)
-                op._store_operator_outputs(ts, results)
+        """One scheduled pass: each member's :meth:`run_pass`, handed
+        its output channel (the final member has none and stores).
 
-    def _run_staged(self, ts: int) -> None:
-        """Sanitizer-veto fallback: every member runs its ordinary
-        staged pass (instrumented scalar compute, full store/publish
-        fan-out).  Downstream members still read through the channel
-        proxies — the host caches hold no intermediate history from
-        fused passes, the channels do — and the channels keep absorbing
-        the intermediates so resuming fused execution later sees the
-        same window history an always-staged run would have cached.
-        Channel reads stay bit-exact with cache reads here because
-        ``SensorCache.view_relative`` with the 1 s operator-output
-        interval hint is count-bounded by the same arithmetic as
-        :func:`_window_count`."""
-        if self._m_fallbacks is not None:
+        Members are driven through ``run_pass``, never ``compute``, so
+        a fused pass stays one pass of the group.  Downstream members
+        read through the channel proxies.  Under an active sanitizer
+        the pass counts as a fallback: every member then takes the
+        staged, instrumented scalar path and stores its results, and
+        the channels keep absorbing the intermediates, so resuming
+        fused execution later sees the same window history an
+        always-staged run would have cached.  Channel reads stay
+        bit-exact with cache reads because ``SensorCache.view_relative``
+        with the 1 s operator-output interval hint is count-bounded by
+        the same arithmetic as :func:`_window_count`.
+        """
+        if hooks.CURRENT is not None and self._m_fallbacks is not None:
             self._m_fallbacks.inc()
         plan = self._ensure_plan()
         last = len(self.ops) - 1
         for i, op in enumerate(self.ops):
+            channel = plan.channels[i] if i < last else None
             proxy = plan.engines[i]
             if proxy is None:
-                results = op.compute(ts)
-            else:
-                real = op.engine
-                op.engine = proxy
-                try:
-                    results = op.compute(ts)
-                finally:
-                    op.engine = real
-            if i < last:
-                plan.channels[i].append_results(ts, results)
+                op.run_pass(ts, channel)
+                continue
+            real = op.engine
+            op.engine = proxy
+            try:
+                op.run_pass(ts, channel)
+            finally:
+                op.engine = real

@@ -418,113 +418,99 @@ class OperatorBase:
 
     def compute(self, ts: int) -> List[UnitResult]:
         """One full computation pass over all units (online path)."""
+        return self.run_pass(ts)
+
+    def run_pass(self, ts: int, channel=None) -> List[UnitResult]:
+        """The operator's one pass driver.
+
+        With no ``channel`` the pass stores its results on the host.
+        With a fused group's :class:`~repro.core.fusion.FusedChannel`
+        it hands them to the channel instead: a plain pass (no cadence
+        staggering, no breakers, batching on, one output per unit) as
+        the column of :meth:`compute_batch_vector`, any other pass as
+        its result list.  Under an active sanitizer it does both, so
+        a fallback pass stores like a staged one and the channel keeps
+        the window history fused passes will resume from.  Returns the
+        result list (empty when the column was handed over).
+        """
         if not self.enabled:
             return []
         san = hooks.CURRENT
         if san is not None:
             san.begin_pass(self)
         t0 = time.perf_counter_ns()
-        results = self._compute_results(ts)
-        self._record_unit_successes(results)
-        self._store_results(ts, results)
-        self._store_operator_outputs(ts, results)
+        column = None
+        if (
+            channel is not None
+            and channel.vector_ok
+            and self.config.unit_cadence <= 1
+            and not self._breakers  # unguarded: emptiness fast-path; any breaker routes through the accounted list path
+            and self.batch_enabled()
+        ):
+            try:
+                column = self.compute_batch_vector(self.units, ts)
+            except (QueryError, PluginError, ValueError, KeyError):
+                # The list path below re-raises and accounts for it
+                # exactly as a staged pass would.
+                column = None
+        if column is None:
+            results = self._compute_results(ts)
+            self._record_unit_successes(results)
+            if channel is None or san is not None:
+                self._store(ts, results)
+            produced = len(results)
+        else:
+            results = []
+            produced = len(column)
         elapsed = time.perf_counter_ns() - t0
         self._m_computes.inc()
         self._m_busy.inc(elapsed)
         self._m_latency.observe(elapsed)
-        self._m_unit_results.inc(len(results))
+        self._m_unit_results.inc(produced)
+        if column is not None:
+            channel.append_column(ts, column)
+        elif channel is not None:
+            channel.append_results(ts, results)
         if san is not None:
             san.end_pass(self)
         return results
 
-    def compute_fused(self, ts: int) -> List[UnitResult]:
-        """One member pass of a fused pipeline group.
-
-        Identical to :meth:`compute` up to (and including) breaker
-        bookkeeping and telemetry, but performs **no** result storage:
-        the fused group driver threads intermediate results straight
-        into the next stage's window and only routes the final stage
-        through :meth:`_store_results`/:meth:`_store_operator_outputs`.
-        Never runs with the sanitizer active — the group driver falls
-        back to the staged :meth:`compute` path first.
-        """
-        if not self.enabled:
-            return []
-        t0 = time.perf_counter_ns()
-        results = self._compute_results(ts)
-        self._record_unit_successes(results)
-        elapsed = time.perf_counter_ns() - t0
-        self._m_computes.inc()
-        self._m_busy.inc(elapsed)
-        self._m_latency.observe(elapsed)
-        self._m_unit_results.inc(len(results))
-        return results
-
-    def compute_fused_vector(self, ts: int):
-        """One fused *intermediate* pass, vectorized when possible.
-
-        Returns ``(vector, results)`` with exactly one of the two set:
-        when the pass is plain — no cadence staggering, no breakers to
-        account for, batching on — and the plugin's
-        :meth:`compute_batch_vector` kernel accepts it, ``vector`` is
-        the float64 output column aligned with ``self.units`` and
-        ``results`` is None; otherwise ``vector`` is None and
-        ``results`` is the ordinary :meth:`compute_fused` list.  The
-        fused group driver threads the vector straight into the next
-        stage's window matrix, skipping per-unit result packaging.
-        """
-        if not self.enabled:
-            return None, []
-        vec = None
-        if (
-            self.config.unit_cadence <= 1
-            and not self._breakers  # unguarded: emptiness fast-path; any breaker routes through the accounted list path
-            and self.batch_enabled()
-        ):
-            t0 = time.perf_counter_ns()
-            try:
-                vec = self.compute_batch_vector(self.units, ts)
-            except (QueryError, PluginError, ValueError, KeyError):
-                # The list path below re-raises and accounts for it
-                # exactly as a staged pass would.
-                vec = None
-        if vec is None:
-            return None, self.compute_fused(ts)
-        elapsed = time.perf_counter_ns() - t0
-        self._m_computes.inc()
-        self._m_busy.inc(elapsed)
-        self._m_latency.observe(elapsed)
-        self._m_unit_results.inc(len(self.units))
-        return vec, None
-
     def compute_batch_vector(self, units: Sequence[Unit], ts: int):
-        """Optional vectorized kernel for fused intermediate stages.
+        """Optional column kernel for fused intermediate stages.
 
-        When the pass is uniform — every unit exactly one input row
-        with equal non-empty window counts, one output per unit —
-        return the float64 output vector aligned with ``units``.
-        Return None to decline; the driver then runs the ordinary
-        :meth:`compute_batch` list path.  Implementations must be
-        bit-for-bit identical to the values :meth:`compute_batch`
-        would produce for the same pass, and must not store anything.
+        When the pass is uniform (see :meth:`_uniform_rows`) and every
+        unit has one output, return the float64 output column aligned
+        with ``units``.  Return None to decline; :meth:`run_pass` then
+        takes the ordinary :meth:`compute_batch` list path.  The column
+        must equal the values :meth:`compute_batch` would produce for
+        the same pass bit-for-bit, and nothing may be stored.
         """
         return None
 
-    def _single_row_layout(self, slices: List[range]):
-        """Unit→row index when every unit maps to exactly one window
-        row (the vector kernels' alignment precondition), else None.
-        Memoized on the slices object, which :meth:`batch_window`'s
-        layout memo keeps identity-stable across steady-state passes."""
+    def _uniform_rows(self, window: BatchWindow, slices: List[range]):
+        """``(rows, n)`` when the pass is uniform: every unit maps to
+        exactly one window row and all those rows hold the same
+        non-empty count ``n`` — the stacked-matrix kernels'
+        precondition.  None otherwise.  The unit→row index is memoized
+        on the slices object, which :meth:`batch_window`'s layout memo
+        keeps identity-stable across steady-state passes."""
         memo = self._row_layout
         if memo is not None and memo[0] is slices:
-            return memo[1]
-        rows = None
-        if all(len(s) == 1 for s in slices):
-            rows = np.fromiter(
-                (s[0] for s in slices), dtype=np.intp, count=len(slices)
-            )
-        self._row_layout = (slices, rows)
-        return rows
+            rows = memo[1]
+        else:
+            rows = None
+            if slices and all(len(s) == 1 for s in slices):
+                rows = np.fromiter(
+                    (s[0] for s in slices), dtype=np.intp, count=len(slices)
+                )
+            self._row_layout = (slices, rows)
+        if rows is None:
+            return None
+        counts = window.counts[rows]
+        n = int(counts[0])
+        if n < 1 or (counts != n).any():
+            return None
+        return rows, n
 
     def _due_units(self) -> List[Unit]:
         """Units owed a computation this pass (cadence staggering,
@@ -662,31 +648,34 @@ class OperatorBase:
         """
         due_units = self._due_units()
         if self.batch_enabled():
-            return self._compute_results_batch(due_units, ts)
+            try:
+                return self.compute_batch(due_units, ts)
+            except (QueryError, PluginError, ValueError, KeyError) as exc:
+                # A batch-wide failure degrades to the per-unit loop for
+                # the pass: a kernel bug costs performance, never output.
+                self._note_error("<batch>", exc)
+                return self._compute_chunk(due_units, ts)
+        if not self._uses_pool() or len(due_units) < 2:
+            return self._compute_chunk(due_units, ts)
+        pool = self._pool
+        if pool is None:
+            # Enabled without start() (tests drive compute directly).
+            pool = self._pool = self._make_pool()
+        n = len(due_units)
+        workers = min(self.config.max_workers, n)
+        chunk = (n + workers - 1) // workers
+        futures = [
+            pool.submit(self._compute_chunk, due_units[lo:lo + chunk], ts)
+            for lo in range(0, n, chunk)
+        ]
         results: List[UnitResult] = []
-        if self._uses_pool() and len(due_units) > 1:
-            pool = self._pool
-            if pool is None:
-                # Enabled without start() (tests drive compute directly).
-                pool = self._pool = self._make_pool()
-            n = len(due_units)
-            workers = min(self.config.max_workers, n)
-            chunk = (n + workers - 1) // workers
-            futures = [
-                pool.submit(self._compute_chunk, due_units[lo:lo + chunk], ts)
-                for lo in range(0, n, chunk)
-            ]
-            for future in futures:
-                results.extend(future.result())
-        else:
-            for unit in due_units:
-                result = self._compute_one(unit, ts)
-                if result is not None:
-                    results.append(result)
+        for future in futures:
+            results.extend(future.result())
         return results
 
     def _compute_chunk(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
-        """One worker's contiguous share of a parallel pass.
+        """The per-unit loop: sequential passes, one worker's contiguous
+        share of a parallel pass, and the batch fallback.
 
         Chunking keeps the future count at ``max_workers`` instead of U,
         and gathering chunks in submission order preserves unit order in
@@ -699,25 +688,6 @@ class OperatorBase:
                 out.append(result)
         return out
 
-    def _compute_results_batch(
-        self, due_units: List[Unit], ts: int
-    ) -> List[UnitResult]:
-        """Batched pass: one :meth:`compute_batch` call for all units.
-
-        A batch-wide failure degrades to the per-unit scalar loop for
-        the pass, so a kernel bug costs performance, never output.
-        """
-        try:
-            return self.compute_batch(due_units, ts)
-        except (QueryError, PluginError, ValueError, KeyError) as exc:
-            self._note_error("<batch>", exc)
-            results = []
-            for unit in due_units:
-                result = self._compute_one(unit, ts)
-                if result is not None:
-                    results.append(result)
-            return results
-
     def compute_batch(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
         """Compute every unit of a pass in one call.
 
@@ -726,12 +696,7 @@ class OperatorBase:
         default preserves exact scalar semantics by delegating to
         :meth:`compute_unit` per unit, including its error accounting.
         """
-        results = []
-        for unit in units:
-            result = self._compute_one(unit, ts)
-            if result is not None:
-                results.append(result)
-        return results
+        return self._compute_chunk(units, ts)
 
     def batch_window(
         self, units: Sequence[Unit], topics_of=None
@@ -812,42 +777,32 @@ class OperatorBase:
                 if breaker.trips != trips_before:
                     self._m_breaker_trips.inc()
 
-    def _store_results(self, ts: int, results: List[UnitResult]) -> None:
-        if self.host is None:
+    def _store(self, ts: int, results: List[UnitResult]) -> None:
+        """Hand a pass's readings to the host: unit outputs in (unit,
+        output) emission order, then operator outputs, as one list —
+        one host call on the batch path, one per reading otherwise."""
+        host = self.host
+        if host is None:
             return
-        if self.batch_enabled() and hasattr(self.host, "store_readings_batch"):
-            self.store_results_batch(ts, results)
-            return
-        for unit, values in results:
-            for sensor in unit.outputs:
-                value = values.get(sensor.name)
-                if value is not None:
-                    self.host.store_reading(sensor, ts, float(value))
-
-    def store_results_batch(self, ts: int, results: List[UnitResult]) -> None:
-        """Hand a whole pass's readings to the host in one call.
-
-        Preserves the scalar path's (unit, output) emission order, so
-        cache contents and MQTT publish order are unchanged — only the
-        per-reading call overhead is amortized.
-        """
         readings = []
         for unit, values in results:
             for sensor in unit.outputs:
                 value = values.get(sensor.name)
                 if value is not None:
                     readings.append((sensor, float(value)))
-        if readings:
-            self.host.store_readings_batch(ts, readings)
-
-    def _store_operator_outputs(self, ts: int, results: List[UnitResult]) -> None:
-        if not self._operator_output_sensors or self.host is None:
+        if self._operator_output_sensors:
+            aggregates = self.compute_operator_outputs(ts, results)
+            for sensor in self._operator_output_sensors:
+                value = aggregates.get(sensor.name)
+                if value is not None:
+                    readings.append((sensor, float(value)))
+        if not readings:
             return
-        aggregates = self.compute_operator_outputs(ts, results)
-        for sensor in self._operator_output_sensors:
-            value = aggregates.get(sensor.name)
-            if value is not None:
-                self.host.store_reading(sensor, ts, float(value))
+        if self.batch_enabled() and hasattr(host, "store_readings_batch"):
+            host.store_readings_batch(ts, readings)
+            return
+        for sensor, value in readings:
+            host.store_reading(sensor, ts, value)
 
     def compute_operator_outputs(
         self, ts: int, results: List[UnitResult]
@@ -977,12 +932,7 @@ class JobOperatorBase(OperatorBase):
         }
         self.units = units
 
-    def compute(self, ts: int) -> List[UnitResult]:
+    def run_pass(self, ts: int, channel=None) -> List[UnitResult]:
         if self.enabled:
             self.refresh_units(ts)
-        return super().compute(ts)
-
-    def compute_fused(self, ts: int) -> List[UnitResult]:
-        if self.enabled:
-            self.refresh_units(ts)
-        return super().compute_fused(ts)
+        return super().run_pass(ts, channel)

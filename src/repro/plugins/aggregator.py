@@ -177,28 +177,18 @@ class AggregatorOperator(OperatorBase):
     def compute_batch(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
         assert self.engine is not None
         window, slices = self.batch_window(units)
-        n = _uniform_single_input(units, slices, window.counts)
-        if n is not None:
-            return self._batch_uniform(units, slices, window, n)
-        results = []
-        for unit, rows in zip(units, slices):
-            values = self._unit_from_window(unit, rows, window)
-            if values:
-                results.append(UnitResult(unit, values))
-        return results
-
-    def _batch_uniform(self, units, slices, window, n: int) -> List[UnitResult]:
-        """One kernel per aggregate over the stacked single-input rows."""
-        rows = np.fromiter((s[0] for s in slices), dtype=np.intp, count=len(slices))
-        sub = window.values[rows, window.width - n:]
-        tss = window.timestamps[rows, window.width - n:]
+        columns = self._uniform_columns(window, slices)
+        if columns is None:
+            results = []
+            for unit, rows in zip(units, slices):
+                values = self._unit_from_window(unit, rows, window)
+                if values:
+                    results.append(UnitResult(unit, values))
+            return results
         # tolist() converts each column to plain floats once; per-element
         # float(np.float64) in the unit loop costs more than the kernels
         # themselves at 1000s of units.
-        per_op = {
-            op: self._kernel(op, sub, tss, n).tolist()
-            for op in set(self._ops.values())
-        }
+        per_op = {op: column.tolist() for op, column in columns.items()}
         resolved: Dict[str, list] = {}
         results = []
         for j, unit in enumerate(units):
@@ -214,27 +204,27 @@ class AggregatorOperator(OperatorBase):
         return results
 
     def compute_batch_vector(self, units: Sequence[Unit], ts: int):
-        """Uniform-pass vector kernel for fused intermediate stages.
-
-        Only the wildcard single-aggregate form (``ops: {"*": op}``)
-        qualifies — then every output resolves to the same kernel and
-        the stacked :meth:`_kernel` column is exactly what
-        :meth:`_batch_uniform` would have unpacked per unit.  Declines
-        (None) on multiple/ragged inputs, same as the uniform path.
-        """
+        # Only the wildcard single-aggregate form (``ops: {"*": op}``)
+        # has one column for every output.
         if set(self._ops) != {"*"}:
             return None
         window, slices = self.batch_window(units)
-        rows = self._single_row_layout(slices)
-        if rows is None or not len(rows):
+        columns = self._uniform_columns(window, slices)
+        return None if columns is None else columns[self._ops["*"]]
+
+    def _uniform_columns(self, window, slices):
+        """aggregate -> column, one kernel per configured aggregate over
+        a uniform pass's stacked single-input rows; None on multiple or
+        ragged inputs."""
+        uniform = self._uniform_rows(window, slices)
+        if uniform is None:
             return None
-        counts = window.counts[rows]
-        n = int(counts[0])
-        if n < 1 or (counts != n).any():
-            return None
+        rows, n = uniform
         sub = window.values[rows, window.width - n:]
         tss = window.timestamps[rows, window.width - n:]
-        return self._kernel(self._ops["*"], sub, tss, n)
+        return {
+            op: self._kernel(op, sub, tss, n) for op in set(self._ops.values())
+        }
 
     def _kernel(self, op: str, sub, tss, n: int):
         if op == "delta":
@@ -279,22 +269,3 @@ class AggregatorOperator(OperatorBase):
             sensor.name: self._apply(self._op_for(sensor.name), first, pooled)
             for sensor in unit.outputs
         }
-
-
-def _uniform_single_input(units, slices, counts):
-    """Window length when every unit has one input and equal, non-empty
-    windows — the precondition of the stacked-matrix kernels.  None
-    otherwise."""
-    if not units:
-        return None
-    for s in slices:
-        if len(s) != 1:
-            return None
-    rows = [s[0] for s in slices]
-    n = int(counts[rows[0]])
-    if n < 1:
-        return None
-    for r in rows:
-        if counts[r] != n:
-            return None
-    return n

@@ -68,33 +68,20 @@ class SmootherOperator(OperatorBase):
         assert self.engine is not None
         # Only each unit's first input is smoothed, exactly as scalar.
         window, slices = self.batch_window(units, topics_of=_first_input)
-        counts = window.counts
-        rows = [s[0] if len(s) else -1 for s in slices]
-        live = [r for r in rows if r >= 0]
-        uniform = (
-            len(live) == len(units)
-            and len(live) > 0
-            and counts[live].min() == counts[live].max()
-            and counts[live[0]] > 0
-        )
-        if uniform:
-            n = int(counts[live[0]])
-            sub = window.values[np.asarray(live, dtype=np.intp), window.width - n:]
-            if self.alpha is None:
-                smoothed = sub.mean(axis=1)
-            else:
-                weights = (1.0 - self.alpha) ** np.arange(n - 1, -1, -1)
-                smoothed = (sub * weights).sum(axis=1) / weights.sum()
+        column = self._uniform_column(window, slices)
+        if column is not None:
             results = []
-            for j, unit in enumerate(units):
-                values = {s.name: float(smoothed[j]) for s in unit.outputs}
+            for unit, smoothed in zip(units, column.tolist()):
+                values = {s.name: smoothed for s in unit.outputs}
                 if values:
                     results.append(UnitResult(unit, values))
             return results
+        counts = window.counts
         results = []
-        for unit, r in zip(units, rows):
-            if r < 0:
+        for unit, rows in zip(units, slices):
+            if not len(rows):
                 continue  # no inputs: scalar returns {} for the unit
+            r = rows[0]
             if not counts[r]:
                 self._record_unit_error(
                     unit,
@@ -113,23 +100,17 @@ class SmootherOperator(OperatorBase):
         return results
 
     def compute_batch_vector(self, units: Sequence[Unit], ts: int):
-        """Uniform-pass vector kernel for fused intermediate stages.
-
-        The same stacked mean/EWMA :meth:`compute_batch` runs on its
-        uniform path, minus the per-unit dict packaging — bit-for-bit
-        identical values, returned as one column aligned with
-        ``units``.  Declines (None) whenever a unit lacks an input or
-        windows are ragged, exactly where :meth:`compute_batch` leaves
-        its uniform path.
-        """
         window, slices = self.batch_window(units, topics_of=_first_input)
-        rows = self._single_row_layout(slices)
-        if rows is None or not len(rows):
+        return self._uniform_column(window, slices)
+
+    def _uniform_column(self, window, slices):
+        """The stacked mean/EWMA over a uniform pass's rows, one value
+        per unit; None when a unit lacks an input or windows are
+        ragged."""
+        uniform = self._uniform_rows(window, slices)
+        if uniform is None:
             return None
-        counts = window.counts[rows]
-        n = int(counts[0])
-        if n < 1 or (counts != n).any():
-            return None
+        rows, n = uniform
         sub = window.values[rows, window.width - n:]
         if self.alpha is None:
             return sub.mean(axis=1)

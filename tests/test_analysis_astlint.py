@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.analysis import lint_paths, lint_source
 
 
@@ -286,6 +288,24 @@ class TestSleepInCompute:
         """, path="src/repro/core/x.py")
         assert codes(diags) == ["L006"]
         assert "sleep" in diags[0].message
+
+    @pytest.mark.parametrize(
+        "method", ["compute_batch", "compute_batch_vector", "run_pass"]
+    )
+    def test_sleep_in_batch_path_flagged(self, method):
+        # Batch-capable plugins run these by default, not compute_unit.
+        diags = lint(f"""
+        import time
+        from repro.core.registry import operator_plugin
+
+        @operator_plugin("x")
+        class XOperator:
+            def {method}(self, units, ts):
+                time.sleep(0.1)
+                return None
+        """, path="src/repro/core/x.py")
+        assert codes(diags) == ["L006"]
+        assert f"XOperator.{method} calls time.sleep" in diags[0].message
 
     def test_bare_sleep_flagged(self):
         diags = lint("""

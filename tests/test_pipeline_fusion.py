@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.flow import analyze_flow
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC
-from repro.core.fusion import FusedGroup
+from repro.core.fusion import FusedChannel, FusedGroup
 from repro.core.operator import OperatorConfig
 from repro.core.pipeline import FusionSpec, plan_fusion
 from repro.core.queryengine import QueryEngine
@@ -115,11 +115,13 @@ def build_chain(n_units: int = N_UNITS):
     return host, engine, ops
 
 
-def run_both(ticks, feed=None, skip=(), n_units: int = N_UNITS):
+def run_both(ticks, feed=None, skip=(), n_units: int = N_UNITS, setup=None):
     """Run staged and fused executions over one input stream.
 
     ``feed(tick, i)`` produces unit ``i``'s reading (None = no reading);
-    ``skip`` unit indices never produce at all (missing-data parity).
+    ``skip`` unit indices never produce at all (missing-data parity);
+    ``setup(ops)`` adjusts both chains after the first pass, once every
+    intermediate cache exists (see test_intermittent_readings_parity).
     Returns (staged_host, fused_host, staged_ops, fused_ops, group).
     """
     rng = np.random.default_rng(7)
@@ -141,6 +143,9 @@ def run_both(ticks, feed=None, skip=(), n_units: int = N_UNITS):
         for op in staged_ops:
             op.compute(ts)
         group.run(ts)
+        if tick == 1 and setup is not None:
+            setup(staged_ops)
+            setup(fused_ops)
     return staged_host, fused_host, staged_ops, fused_ops, group
 
 
@@ -149,6 +154,29 @@ def final_series(host, n_units: int = N_UNITS, out: str = "mx"):
         f"/n{i}/{out}": host.stored.get(f"/n{i}/{out}")
         for i in range(n_units)
     }
+
+
+def assert_pass_accounting(s_ops, f_ops):
+    """Every member counts passes, unit results and errors as staged."""
+    for s_op, f_op in zip(s_ops, f_ops):
+        assert f_op.compute_count == s_op.compute_count
+        assert f_op.unit_results_count == s_op.unit_results_count
+        assert f_op.error_count == s_op.error_count
+
+
+def spy_handoffs(monkeypatch):
+    """Record ``(method, stage, ts)`` for every channel handoff; the
+    stage is the output name of the channel's producer."""
+    calls = []
+    for name in ("append_column", "append_results"):
+        original = getattr(FusedChannel, name)
+
+        def spy(self, ts, payload, _name=name, _original=original):
+            calls.append((_name, self.topics[0].rsplit("/", 1)[1], ts))
+            return _original(self, ts, payload)
+
+        monkeypatch.setattr(FusedChannel, name, spy)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +349,8 @@ class TestFusedParity:
         staged, fused, s_ops, f_ops, _ = run_both(30)
         assert final_series(staged) == final_series(fused)
         assert any(v for v in final_series(fused).values())
+        assert_pass_accounting(s_ops, f_ops)
+        assert f_ops[0].compute_count == 30
         # Fused intermediates never touch the host: no cache, no store.
         assert "/n0/sm" in staged.stored and "/n0/sm" not in fused.stored
         assert fused.cache_for("/n0/sm") is None
@@ -332,6 +362,56 @@ class TestFusedParity:
         for s_op, f_op in zip(s_ops, f_ops):
             assert s_op.error_count == f_op.error_count
         assert s_ops[0].error_count > 0  # the skipped units did error
+
+    def test_uniform_passes_hand_over_columns(self, monkeypatch):
+        calls = spy_handoffs(monkeypatch)
+        staged, fused, s_ops, f_ops, _ = run_both(30)
+        for tick in range(1, 31):
+            ts = tick * NS_PER_SEC
+            for stage in ("sm", "ag"):
+                assert ("append_column", stage, ts) in calls
+                assert ("append_results", stage, ts) not in calls
+        assert final_series(staged) == final_series(fused)
+        assert_pass_accounting(s_ops, f_ops)
+
+    @staticmethod
+    def _quarantine_middle_unit(ops):
+        ops[1].set_breaker("/n3", "trip")
+
+    @staticmethod
+    def _stagger_middle_stage(ops):
+        ops[1].config.unit_cadence = 2
+
+    @staticmethod
+    def _two_outputs_per_producer_unit(ops):
+        ops[0].set_units([
+            Unit(
+                name=f"/n{i}",
+                level=0,
+                inputs=[f"/n{i}/power"],
+                outputs=[
+                    Sensor(f"/n{i}/sm", is_operator_output=True),
+                    Sensor(f"/n{i}/sm-copy", is_operator_output=True),
+                ],
+            )
+            for i in range(N_UNITS)
+        ])
+
+    @pytest.mark.parametrize("setup, stage", [
+        (_quarantine_middle_unit, "ag"),
+        (_stagger_middle_stage, "ag"),
+        (_two_outputs_per_producer_unit, "sm"),
+    ])
+    def test_non_plain_passes_hand_over_lists(self, monkeypatch, setup, stage):
+        calls = spy_handoffs(monkeypatch)
+        staged, fused, s_ops, f_ops, _ = run_both(
+            20, setup=setup.__func__
+        )
+        for tick in range(2, 21):
+            assert ("append_results", stage, tick * NS_PER_SEC) in calls
+        assert final_series(staged) == final_series(fused)
+        assert any(v for v in final_series(fused).values())
+        assert_pass_accounting(s_ops, f_ops)
 
     def test_short_window_warmup_parity(self):
         # Windows larger than the data seen so far: both paths serve the
